@@ -17,13 +17,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/ease"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/service"
@@ -33,9 +31,7 @@ func main() {
 	progName := flag.String("prog", "", "Table-3 program name (see `tables -list`)")
 	file := flag.String("file", "", "mini-C source file (alternative to -prog)")
 	inFile := flag.String("in", "", "input file (default: the program's canned input for -prog)")
-	machName := flag.String("machine", "68020",
-		"target machine: "+strings.Join(machine.Names(), ", "))
-	levelName := flag.String("level", "jumps", "optimization level: simple, loops, jumps or dups")
+	resolveConfig := pipeline.BindFlags(flag.CommandLine)
 	caches := flag.Bool("caches", false, "simulate the Table-6 instruction caches")
 	showOutput := flag.Bool("output", false, "print the program's output")
 	fetchTraceFile := flag.String("fetchtrace", "", "write the instruction-fetch trace (one `addr size` pair per line) to this file, for cmd/cachesim")
@@ -43,18 +39,25 @@ func main() {
 	explain := flag.Bool("explain", false, "print a human-readable pass/replication narrative to stderr")
 	profile := flag.Bool("profile", false, "print the hottest blocks to stderr")
 	quiet := flag.Bool("q", false, "suppress the per-cell progress line on stderr")
-	verifyEach := flag.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass; violations (attributed to the offending pass) abort with exit 1")
-	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
 	grid := flag.Bool("grid", false, "measure the full Table-3 grid and print the paper's tables")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel measurement workers for -grid; for a single measurement, per-function optimizer workers (output is identical for every value)")
 	flag.Parse()
+	conf, err := resolveConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ease:", err)
+		os.Exit(2)
+	}
 
 	if *grid {
-		runGrid(*caches, *jobs, *quiet, *verifyEach, *tvFlag)
+		runGrid(*caches, *jobs, *quiet, conf)
 		return
 	}
 
-	req := ease.Request{SimulateCaches: *caches, Profile: *profile, VerifyEach: *verifyEach, TV: *tvFlag, Jobs: *jobs}
+	req := ease.Request{
+		Machine: conf.Machine, Level: conf.Level,
+		SimulateCaches: *caches, Profile: *profile,
+		VerifyEach: conf.VerifyEach, TV: conf.TV, Jobs: *jobs,
+	}
 	switch {
 	case *progName != "":
 		p := bench.ProgramByName(*progName)
@@ -82,18 +85,6 @@ func main() {
 		}
 		req.Input = in
 	}
-	m, err := machine.ByName(*machName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(2)
-	}
-	req.Machine = m
-	lv, err := pipeline.ParseLevel(*levelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(2)
-	}
-	req.Level = lv
 
 	if *fetchTraceFile != "" {
 		f, err := os.Create(*fetchTraceFile)
@@ -148,7 +139,7 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "ease: measured %s × %s × %s in %s\n",
-			req.Name, req.Machine.Name, lv, time.Since(start).Round(time.Millisecond))
+			req.Name, req.Machine.Name, req.Level, time.Since(start).Round(time.Millisecond))
 	}
 	if jsonl != nil {
 		if err := jsonl.Err(); err == nil {
@@ -164,7 +155,7 @@ func main() {
 		os.Stdout.Write(run.Output)
 		fmt.Println()
 	}
-	fmt.Printf("%s on %s at %s\n", req.Name, req.Machine.Name, lv)
+	fmt.Printf("%s on %s at %s\n", req.Name, req.Machine.Name, req.Level)
 	fmt.Printf("  static:  %d instructions (%d bytes), %d jumps (%d indirect), %d branches, %d no-ops\n",
 		run.Static.StaticInsts, run.CodeBytes, run.Static.StaticJumps,
 		run.Static.StaticIndirect, run.Static.StaticBranches, run.Static.StaticNops)
@@ -204,7 +195,7 @@ func main() {
 // bytes are identical for every -j: cells land at preassigned grid
 // positions, and the per-cell progress lines on stderr are serialized by
 // bench.RunGrid (only their order varies with -j > 1).
-func runGrid(caches bool, jobs int, quiet bool, verifyEach, tv bool) {
+func runGrid(caches bool, jobs int, quiet bool, conf pipeline.Config) {
 	pool := service.NewPool(jobs, 0)
 	var progress *os.File
 	if !quiet {
@@ -215,8 +206,8 @@ func runGrid(caches bool, jobs int, quiet bool, verifyEach, tv bool) {
 		Caches:     caches,
 		Progress:   progress,
 		Pool:       pool,
-		VerifyEach: verifyEach,
-		TV:         tv,
+		VerifyEach: conf.VerifyEach,
+		TV:         conf.TV,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ease:", err)

@@ -16,22 +16,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
-	"repro/internal/machine"
 	"repro/internal/mcc"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/replicate"
 	"repro/internal/vm"
 )
 
 func main() {
-	machName := flag.String("machine", "68020",
-		"target machine: "+strings.Join(machine.Names(), ", "))
-	levelName := flag.String("level", "jumps", "optimization level: simple, loops, jumps or dups")
+	resolveConfig := pipeline.BindFlags(flag.CommandLine)
 	dumpNaive := flag.Bool("dump-naive", false, "print the unoptimized RTLs and exit")
 	emitAsm := flag.Bool("S", false, "emit target assembly syntax instead of RTLs")
 	emitListing := flag.Bool("listing", false, "emit an encoded assembly listing (byte offsets and sizes from internal/encode)")
@@ -44,8 +39,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print optimization statistics to stderr")
 	explain := flag.Bool("explain", false, "print a human-readable pass/replication narrative to stderr")
 	profile := flag.Bool("profile", false, "with -run: print the hottest blocks to stderr")
-	verifyEach := flag.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass; violations (attributed to the offending pass) abort with exit 1")
-	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
 	jobs := flag.Int("j", 0, "optimize up to this many functions concurrently (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -67,16 +60,12 @@ func main() {
 		fmt.Print(prog)
 		return
 	}
-	m, err := machine.ByName(*machName)
+	conf, err := resolveConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcc:", err)
 		os.Exit(2)
 	}
-	lv, err := pipeline.ParseLevel(*levelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcc:", err)
-		os.Exit(2)
-	}
+	m, lv := conf.Machine, conf.Level
 
 	// Telemetry: an optional file sink (JSONL or Chrome trace_event) plus
 	// an in-memory collector backing -explain. Nil when neither is asked
@@ -124,15 +113,10 @@ func main() {
 		tracer = fileSink
 	}
 
-	st := pipeline.Optimize(prog, pipeline.Config{
-		Machine:     m,
-		Level:       lv,
-		Replication: replicate.Options{MaxSeqRTLs: *maxSeq},
-		Tracer:      tracer,
-		VerifyEach:  *verifyEach,
-		TV:          *tvFlag,
-		Jobs:        *jobs,
-	})
+	conf.Replication.MaxSeqRTLs = *maxSeq
+	conf.Tracer = tracer
+	conf.Jobs = *jobs
+	st := pipeline.Optimize(prog, conf)
 	if len(st.Verify) > 0 {
 		for _, v := range st.Verify {
 			fmt.Fprintln(os.Stderr, "mcc:", v.String())

@@ -1,12 +1,15 @@
 package pipeline_test
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
+	"repro/internal/replicate"
 	"repro/internal/rtl"
 	"repro/internal/vm"
 )
@@ -120,5 +123,78 @@ func TestParseLevel(t *testing.T) {
 	}
 	if pipeline.Simple.String() != "SIMPLE" || pipeline.Jumps.String() != "JUMPS" {
 		t.Error("Level.String broken")
+	}
+}
+
+// TestResolve pins the one mapping from spelled compile options to a
+// Config: defaults, aliases and letter case resolve, bad names fail, and
+// the fields that need no parsing pass through untouched.
+func TestResolve(t *testing.T) {
+	for _, c := range []struct {
+		machine, level, heuristic string
+		wantM                     *machine.Machine
+		wantL                     pipeline.Level
+		wantH                     replicate.Heuristic
+	}{
+		{"", "", "", machine.M68020, pipeline.Jumps, replicate.HeurShortest},
+		{"68k", "LOOPS", "returns", machine.M68020, pipeline.Loops, replicate.HeurReturns},
+		{"SPARC", "dups", "loops", machine.SPARC, pipeline.Dups, replicate.HeurLoops},
+		{"i386", "Simple", "shortest", machine.X86, pipeline.Simple, replicate.HeurShortest},
+	} {
+		got, err := pipeline.Resolve(pipeline.Config{}, c.machine, c.level, c.heuristic)
+		if err != nil || got.Machine != c.wantM || got.Level != c.wantL || got.Replication.Heuristic != c.wantH {
+			t.Errorf("Resolve(%q, %q, %q) = %v/%v/%v, %v", c.machine, c.level, c.heuristic,
+				got.Machine, got.Level, got.Replication.Heuristic, err)
+		}
+	}
+	for _, bad := range [][3]string{{"vax", "", ""}, {"", "turbo", ""}, {"", "", "frequency"}} {
+		if _, err := pipeline.Resolve(pipeline.Config{}, bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("Resolve(%q, %q, %q) succeeded, want an error", bad[0], bad[1], bad[2])
+		}
+	}
+	in := pipeline.Config{
+		Replication: replicate.Options{MaxSeqRTLs: 8, AllowIndirect: true},
+		VerifyEach:  true, TV: true, Jobs: 3,
+	}
+	got, err := pipeline.Resolve(in, "", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Replication.MaxSeqRTLs != 8 || !got.Replication.AllowIndirect || !got.VerifyEach || !got.TV || got.Jobs != 3 {
+		t.Errorf("Resolve dropped pass-through fields: %+v", got)
+	}
+}
+
+// TestBindFlags checks the shared driver flags: their defaults resolve to
+// the 68020 at JUMPS, and set flags reach the Config.
+func TestBindFlags(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		wantM *machine.Machine
+		wantL pipeline.Level
+		check bool
+	}{
+		{nil, machine.M68020, pipeline.Jumps, false},
+		{[]string{"-machine", "x86", "-level", "LOOPS", "-verify-each", "-tv"}, machine.X86, pipeline.Loops, true},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		resolve := pipeline.BindFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		got, err := resolve()
+		if err != nil || got.Machine != c.wantM || got.Level != c.wantL || got.VerifyEach != c.check || got.TV != c.check {
+			t.Errorf("flags %q resolved to %v/%v verify-each=%v tv=%v, %v",
+				c.args, got.Machine, got.Level, got.VerifyEach, got.TV, err)
+		}
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	resolve := pipeline.BindFlags(fs)
+	if err := fs.Parse([]string{"-level", "turbo"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resolve(); err == nil {
+		t.Error("-level turbo resolved, want an error")
 	}
 }

@@ -8,6 +8,7 @@
 package pipeline
 
 import (
+	"flag"
 	"fmt"
 	"runtime"
 	"strings"
@@ -74,6 +75,49 @@ func ParseLevel(s string) (Level, error) {
 		return Dups, nil
 	}
 	return Simple, fmt.Errorf("pipeline: unknown level %q (want simple, loops, jumps or dups)", s)
+}
+
+// Resolve maps the spelled compile options of the command-line drivers
+// and the mccd wire to the Config they select: machineName is any
+// registry name or alias ("" = 68020), level any case of simple, loops,
+// jumps or dups ("" = jumps), and heuristic a replicate.ParseHeuristic
+// name ("" = shortest). Every other field of c — the numeric and boolean
+// replication options, VerifyEach, TV, the hooks — passes through as is.
+func Resolve(c Config, machineName, level, heuristic string) (Config, error) {
+	if machineName == "" {
+		machineName = machine.M68020.Name
+	}
+	if level == "" {
+		level = "jumps"
+	}
+	m, err := machine.ByName(machineName)
+	if err != nil {
+		return c, err
+	}
+	lv, err := ParseLevel(level)
+	if err != nil {
+		return c, err
+	}
+	h, err := replicate.ParseHeuristic(heuristic)
+	if err != nil {
+		return c, err
+	}
+	c.Machine, c.Level, c.Replication.Heuristic = m, lv, h
+	return c, nil
+}
+
+// BindFlags declares the compile-option flags the command-line drivers
+// share — -machine, -level, -verify-each and -tv — on fs. The returned
+// function, called after fs.Parse, resolves them into a Config.
+func BindFlags(fs *flag.FlagSet) func() (Config, error) {
+	machineName := fs.String("machine", "68020",
+		"target machine: "+strings.Join(machine.Names(), ", "))
+	level := fs.String("level", "jumps", "optimization level: simple, loops, jumps or dups")
+	verifyEach := fs.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass; violations (attributed to the offending pass) abort with exit 1")
+	tv := fs.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
+	return func() (Config, error) {
+		return Resolve(Config{VerifyEach: *verifyEach, TV: *tv}, *machineName, *level, "")
+	}
 }
 
 // Config selects the machine, level and replication options.

@@ -29,7 +29,7 @@ const (
 	EngineMatrix
 )
 
-// String returns the wire name of the engine ("oracle" or "matrix").
+// String returns the engine's name ("oracle" or "matrix").
 func (e PathEngine) String() string {
 	switch e {
 	case EngineOracle:
@@ -38,17 +38,6 @@ func (e PathEngine) String() string {
 		return "matrix"
 	}
 	return fmt.Sprintf("engine(%d)", uint8(e))
-}
-
-// ParseEngine converts a wire/CLI name to a PathEngine ("" = oracle).
-func ParseEngine(s string) (PathEngine, error) {
-	switch s {
-	case "", "oracle":
-		return EngineOracle, nil
-	case "matrix":
-		return EngineMatrix, nil
-	}
-	return EngineOracle, fmt.Errorf("replicate: unknown path engine %q (want oracle or matrix)", s)
 }
 
 // pathFinder abstracts step 1 for the sweep: per-block RTL costs, pairwise

@@ -150,25 +150,3 @@ func TestEngineEquivalenceRandomGraphs(t *testing.T) {
 		}
 	}
 }
-
-// TestParseEngine pins the wire names.
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want PathEngine
-		err  bool
-	}{
-		{"", EngineOracle, false},
-		{"oracle", EngineOracle, false},
-		{"matrix", EngineMatrix, false},
-		{"floyd", EngineOracle, true},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
-	if EngineOracle.String() != "oracle" || EngineMatrix.String() != "matrix" {
-		t.Error("String() names drifted from wire names")
-	}
-}

@@ -1,6 +1,7 @@
 package replicate
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/cfg"
@@ -42,6 +43,20 @@ func (h Heuristic) String() string {
 		return "frequency"
 	}
 	return "heuristic(?)"
+}
+
+// ParseHeuristic converts a wire/CLI name to a Heuristic ("" = shortest).
+// HeurFrequency has no spelling: it is reachable only in process.
+func ParseHeuristic(s string) (Heuristic, error) {
+	switch s {
+	case "", "shortest":
+		return HeurShortest, nil
+	case "returns":
+		return HeurReturns, nil
+	case "loops":
+		return HeurLoops, nil
+	}
+	return HeurShortest, fmt.Errorf("replicate: unknown heuristic %q (want shortest, returns or loops)", s)
 }
 
 // Options configures the JUMPS algorithm.

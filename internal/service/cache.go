@@ -5,9 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"sync"
 	"sync/atomic"
 
-	"sync"
+	"repro/internal/pipeline"
 )
 
 // Key is the content address of one request: the SHA-256 of its canonical
@@ -45,6 +46,29 @@ func (b *keyBuilder) bool(v bool) {
 	} else {
 		b.h.Write([]byte{0})
 	}
+}
+
+// config folds a resolved pipeline configuration into the key. The
+// machine enters by its canonical name, never by the request's spelling,
+// so aliases, letter case and defaults share one entry. Every exported
+// field of pipeline.Config and replicate.Options is either hashed here or
+// listed as output-neutral in TestKeyCoversConfig.
+func (b *keyBuilder) config(c pipeline.Config) {
+	b.str(c.Machine.Name)
+	b.int(int64(c.Level))
+	b.int(int64(c.MaxIterations))
+	b.bool(c.VerifyEach)
+	b.bool(c.TV)
+	r := c.Replication
+	b.int(int64(r.Heuristic))
+	b.int(int64(r.MaxSeqRTLs))
+	b.bool(r.AllowIndirect)
+	b.bool(r.NoLoopCompletion)
+	b.int(int64(r.MaxFuncRTLs))
+	b.int(int64(r.MaxReplications))
+	b.int(int64(r.Engine))
+	b.bool(r.ForceKeepIrreducible)
+	b.bool(r.ForceRollback)
 }
 
 func (b *keyBuilder) sum() Key {

@@ -2,8 +2,12 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/pipeline"
 )
 
 func keyFor(s string) Key {
@@ -108,5 +112,84 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 16 {
 		t.Fatalf("Len = %d exceeds max 16", c.Len())
+	}
+}
+
+// outputNeutral names the exported fields of pipeline.Config and (under
+// "Replication.") replicate.Options that stay out of the result-cache key,
+// each with the reason the compiled result cannot depend on it.
+var outputNeutral = map[string]string{
+	"Jobs":                      "output identical for every value (pipeline.TestOptimizeJobsDeterministic)",
+	"Tracer":                    "telemetry hook",
+	"OnViolation":               "telemetry hook; the violations also land in Stats.Verify",
+	"Replication.Tracer":        "telemetry hook",
+	"Replication.OnCertificate": "telemetry hook; Config.TV installs the validator",
+}
+
+// TestKeyCoversConfig walks every exported field of pipeline.Config and
+// replicate.Options: changing it must change the compile key unless the
+// field is listed in outputNeutral. A field added later fails here until
+// it is hashed by keyBuilder.config or classified as output-neutral.
+func TestKeyCoversConfig(t *testing.T) {
+	base, err := pipeline.Resolve(pipeline.Config{}, "", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseKey := compileKey(tinySrc, base)
+	seen := map[string]bool{}
+	check := func(name string, c *pipeline.Config, fv reflect.Value) {
+		t.Helper()
+		neutral := outputNeutral[name] != ""
+		seen[name] = neutral
+		switch fv.Kind() {
+		case reflect.Bool:
+			fv.SetBool(!fv.Bool())
+		case reflect.Int, reflect.Int64:
+			fv.SetInt(fv.Int() + 1)
+		case reflect.Uint8:
+			fv.SetUint(fv.Uint() + 1)
+		case reflect.Pointer:
+			if fv.Type() != reflect.TypeOf(machine.SPARC) {
+				t.Fatalf("%s: unclassified field type %s", name, fv.Type())
+			}
+			fv.Set(reflect.ValueOf(machine.SPARC))
+		case reflect.Func:
+			fv.Set(reflect.MakeFunc(fv.Type(), func([]reflect.Value) []reflect.Value { return nil }))
+		default:
+			if !neutral {
+				t.Fatalf("%s: unclassified field type %s", name, fv.Type())
+			}
+			return
+		}
+		changed := compileKey(tinySrc, *c) != baseKey
+		switch {
+		case neutral && changed:
+			t.Errorf("%s is listed output-neutral but changes the key", name)
+		case !neutral && !changed:
+			t.Errorf("%s does not reach the cache key: hash it in keyBuilder.config or list it in outputNeutral", name)
+		}
+	}
+	ct := reflect.TypeOf(base)
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if !f.IsExported() || f.Name == "Replication" {
+			continue
+		}
+		c := base
+		check(f.Name, &c, reflect.ValueOf(&c).Elem().Field(i))
+	}
+	rt := reflect.TypeOf(base.Replication)
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		c := base
+		check("Replication."+f.Name, &c, reflect.ValueOf(&c.Replication).Elem().Field(i))
+	}
+	for name := range outputNeutral {
+		if !seen[name] {
+			t.Errorf("outputNeutral lists %s, which is not an exported field", name)
+		}
 	}
 }

@@ -134,6 +134,9 @@ func TestCompileErrors(t *testing.T) {
 		{"bad machine", `{"source":"int main() { return 0; }","machine":"vax"}`, http.StatusUnprocessableEntity},
 		{"bad level", `{"source":"int main() { return 0; }","level":"turbo"}`, http.StatusUnprocessableEntity},
 		{"unknown field", `{"source":"int main() { return 0; }","sauce":1}`, http.StatusBadRequest},
+		{"bad heuristic", `{"source":"int main() { return 0; }","replication":{"heuristic":"frequency"}}`, http.StatusUnprocessableEntity},
+		// The step-1 path engine is an in-process switch, not a wire field.
+		{"engine field", `{"source":"int main() { return 0; }","replication":{"engine":"matrix"}}`, http.StatusBadRequest},
 		{"bad json", `{`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(srv.URL+"/compile", "application/json", strings.NewReader(tc.body))

@@ -333,31 +333,6 @@ func (s *Service) checkOpen() error {
 	return nil
 }
 
-// resolveMachine maps a wire name to a machine model via the registry
-// ("" = the paper's 68020 default).
-func resolveMachine(name string) (*machine.Machine, error) {
-	if name == "" {
-		return machine.M68020, nil
-	}
-	m, err := machine.ByName(name)
-	if err != nil {
-		return nil, badRequestf("%v", err)
-	}
-	return m, nil
-}
-
-// resolveLevel maps a wire name to a pipeline level ("" = jumps).
-func resolveLevel(name string) (pipeline.Level, error) {
-	if name == "" {
-		return pipeline.Jumps, nil
-	}
-	lv, err := pipeline.ParseLevel(name)
-	if err != nil {
-		return 0, badRequestf("%v", err)
-	}
-	return lv, nil
-}
-
 // ReplicationOptions is the wire form of replicate.Options.
 type ReplicationOptions struct {
 	// Heuristic picks the candidate order: "", "shortest", "returns" or
@@ -367,40 +342,20 @@ type ReplicationOptions struct {
 	MaxSeqRTLs int `json:"maxseq,omitempty"`
 	// AllowIndirect enables the §6 indirect-jump extension.
 	AllowIndirect bool `json:"indirect,omitempty"`
-	// Engine picks the step-1 shortest-path engine: "" or "oracle"
-	// (default), or "matrix" for the Floyd–Warshall reference.
-	Engine string `json:"engine,omitempty"`
 }
 
-func (o ReplicationOptions) resolve() (replicate.Options, error) {
-	opts := replicate.Options{MaxSeqRTLs: o.MaxSeqRTLs, AllowIndirect: o.AllowIndirect}
-	switch o.Heuristic {
-	case "", "shortest":
-		opts.Heuristic = replicate.HeurShortest
-	case "returns":
-		opts.Heuristic = replicate.HeurReturns
-	case "loops":
-		opts.Heuristic = replicate.HeurLoops
-	default:
-		return opts, badRequestf("unknown heuristic %q (want shortest, returns or loops)", o.Heuristic)
-	}
-	engine, err := replicate.ParseEngine(o.Engine)
+// resolveConfig resolves one request's spelled options into the pipeline
+// configuration it runs under; an unknown name is a client error.
+func resolveConfig(machineName, level string, r ReplicationOptions, verifyEach, tv bool) (pipeline.Config, error) {
+	c, err := pipeline.Resolve(pipeline.Config{
+		Replication: replicate.Options{MaxSeqRTLs: r.MaxSeqRTLs, AllowIndirect: r.AllowIndirect},
+		VerifyEach:  verifyEach,
+		TV:          tv,
+	}, machineName, level, r.Heuristic)
 	if err != nil {
-		return opts, badRequestf("%v", err)
+		return c, badRequestf("%v", err)
 	}
-	opts.Engine = engine
-	return opts, nil
-}
-
-// hashOptions folds the replication options into a cache key. Engine is
-// included even though both engines produce identical code: keeping it in
-// the key means a request pinning the reference engine is never answered
-// with a result computed by the other one.
-func (b *keyBuilder) options(o ReplicationOptions) {
-	b.str(o.Heuristic)
-	b.int(int64(o.MaxSeqRTLs))
-	b.bool(o.AllowIndirect)
-	b.str(o.Engine)
+	return c, nil
 }
 
 // CompileRequest is the body of POST /compile.
@@ -446,14 +401,10 @@ type CompileResult struct {
 	JobID string `json:"job_id,omitempty"`
 }
 
-func compileKey(req CompileRequest) Key {
+func compileKey(source string, c pipeline.Config) Key {
 	b := newKeyBuilder("compile")
-	b.str(req.Source)
-	b.str(req.Machine)
-	b.str(req.Level)
-	b.options(req.Replication)
-	b.bool(req.VerifyEach)
-	b.bool(req.TV)
+	b.str(source)
+	b.config(c)
 	return b.sum()
 }
 
@@ -466,23 +417,12 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 	if req.Source == "" {
 		return nil, badRequestf("missing source")
 	}
-	m, err := resolveMachine(req.Machine)
-	if err != nil {
-		return nil, err
-	}
-	lv, err := resolveLevel(req.Level)
-	if err != nil {
-		return nil, err
-	}
-	repOpts, err := req.Replication.resolve()
+	conf, err := resolveConfig(req.Machine, req.Level, req.Replication, req.VerifyEach, req.TV)
 	if err != nil {
 		return nil, err
 	}
 	s.met.reqCompile.Inc()
-	// Canonicalize the machine name before the cache key is computed:
-	// aliases ("68k", "i386") and the "" default must hit the same entry
-	// as the canonical spelling.
-	req.Machine = m.Name
+	m, lv := conf.Machine, conf.Level
 
 	job := newJob("compile", 1)
 	tr, err := s.beginJob(job)
@@ -491,8 +431,9 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 	}
 	job.start()
 	meta := jobMeta{kind: "compile", level: lv.String(), machine: m.Name, tracer: tr}
+	conf.Tracer = tr
 
-	key := compileKey(req)
+	key := compileKey(req.Source, conf)
 	if v, ok := s.lookupCache(key, meta); ok {
 		out := *v.(*CompileResult)
 		out.Cached = true
@@ -513,10 +454,7 @@ func (s *Service) Compile(ctx context.Context, req CompileRequest) (*CompileResu
 			inputRTLs += f.NumRTLs()
 		}
 		optStart := time.Now() // det:allow nodeterminism — latency/queue telemetry
-		st := pipeline.Optimize(prog, pipeline.Config{
-			Machine: m, Level: lv, Replication: repOpts,
-			Tracer: tr, VerifyEach: req.VerifyEach, TV: req.TV,
-		})
+		st := pipeline.Optimize(prog, conf)
 		s.met.observeThroughput(inputRTLs, time.Since(optStart)) // det:allow nodeterminism — latency/queue telemetry
 		s.met.observeVerify(st.Verify)
 		var buf bytes.Buffer
@@ -620,17 +558,13 @@ type MeasureResult struct {
 	JobID string `json:"job_id,omitempty"`
 }
 
-func measureKey(req MeasureRequest, source, input string) Key {
+func measureKey(source, input string, c pipeline.Config, caches, output bool) Key {
 	b := newKeyBuilder("measure")
 	b.str(source)
 	b.str(input)
-	b.str(req.Machine)
-	b.str(req.Level)
-	b.options(req.Replication)
-	b.bool(req.Caches)
-	b.bool(req.IncludeOutput)
-	b.bool(req.VerifyEach)
-	b.bool(req.TV)
+	b.config(c)
+	b.bool(caches)
+	b.bool(output)
 	return b.sum()
 }
 
@@ -658,22 +592,12 @@ func (s *Service) Measure(ctx context.Context, req MeasureRequest) (*MeasureResu
 	if req.Input != nil {
 		input = *req.Input
 	}
-	m, err := resolveMachine(req.Machine)
-	if err != nil {
-		return nil, err
-	}
-	lv, err := resolveLevel(req.Level)
-	if err != nil {
-		return nil, err
-	}
-	repOpts, err := req.Replication.resolve()
+	conf, err := resolveConfig(req.Machine, req.Level, req.Replication, req.VerifyEach, req.TV)
 	if err != nil {
 		return nil, err
 	}
 	s.met.reqMeasure.Inc()
-	// Same alias canonicalization as Compile, for the same cache-key
-	// reason.
-	req.Machine = m.Name
+	m, lv := conf.Machine, conf.Level
 
 	job := newJob("measure", 1)
 	tr, err := s.beginJob(job)
@@ -683,7 +607,7 @@ func (s *Service) Measure(ctx context.Context, req MeasureRequest) (*MeasureResu
 	job.start()
 	meta := jobMeta{kind: "measure", level: lv.String(), machine: m.Name, tracer: tr}
 
-	key := measureKey(req, source, input)
+	key := measureKey(source, input, conf, req.Caches, req.IncludeOutput)
 	if v, ok := s.lookupCache(key, meta); ok {
 		out := *v.(*MeasureResult)
 		out.Cached = true
@@ -696,11 +620,11 @@ func (s *Service) Measure(ctx context.Context, req MeasureRequest) (*MeasureResu
 	v, err := s.runSync(ctx, meta, func(context.Context) (any, error) {
 		run, err := ease.Measure(ease.Request{
 			Name: name, Source: source, Input: []byte(input),
-			Machine: m, Level: lv, Replication: repOpts,
+			Machine: m, Level: lv, Replication: conf.Replication,
 			SimulateCaches: req.Caches,
 			Tracer:         tr,
-			VerifyEach:     req.VerifyEach,
-			TV:             req.TV,
+			VerifyEach:     conf.VerifyEach,
+			TV:             conf.TV,
 		})
 		if err != nil {
 			return nil, badRequestf("%v", err)
@@ -841,7 +765,9 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 	if err := s.checkOpen(); err != nil {
 		return JobView{}, err
 	}
-	repOpts, err := req.Replication.resolve()
+	// A grid sweeps every machine and level, so of the resolved
+	// configuration only the replication options and checks apply.
+	conf, err := resolveConfig("", "", req.Replication, req.VerifyEach, req.TV)
 	if err != nil {
 		return JobView{}, err
 	}
@@ -880,9 +806,9 @@ func (s *Service) SubmitGrid(req GridRequest) (JobView, error) {
 			Programs:    progs,
 			Caches:      req.Caches,
 			CacheSizes:  req.CacheSizes,
-			Replication: repOpts,
-			VerifyEach:  req.VerifyEach,
-			TV:          req.TV,
+			Replication: conf.Replication,
+			VerifyEach:  conf.VerifyEach,
+			TV:          conf.TV,
 			Pool:        s.pool,
 			Tracer:      tr,
 			OnCell: func(c *bench.Cell) {

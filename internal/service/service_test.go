@@ -80,40 +80,101 @@ func TestClosedServiceRejects(t *testing.T) {
 	}
 }
 
-// TestEngineOptionWire covers the replication engine on the wire: both
-// engines compile to identical code, the engine participates in the cache
-// key (a matrix request never reuses an oracle result), unknown names are
-// client errors, and real compiles feed the throughput metrics.
+// TestEngineOptionWire checks the compile-throughput metrics that used
+// to share a test with the step-1 engine field: every real compile feeds
+// them and a cache hit does not. The engine itself is off the wire;
+// TestCompileErrors pins that a body still carrying it is rejected.
 func TestEngineOptionWire(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close(context.Background())
 	base := CompileRequest{Source: tinySrc, Level: "jumps"}
-	oracle, err := s.Compile(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matrixReq := base
-	matrixReq.Replication.Engine = "matrix"
-	matrix, err := s.Compile(context.Background(), matrixReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matrix.Cached {
-		t.Fatal("matrix request served from the oracle request's cache entry")
-	}
-	if matrix.Assembly != oracle.Assembly || !reflect.DeepEqual(matrix.Static, oracle.Static) {
-		t.Fatal("engines disagree on compiled output")
-	}
-	bad := base
-	bad.Replication.Engine = "bogus"
-	if _, err := s.Compile(context.Background(), bad); !IsBadRequest(err) {
-		t.Fatalf("unknown engine = %v, want bad request", err)
+	capped := base
+	capped.Replication.MaxSeqRTLs = 8
+	for _, req := range []CompileRequest{base, capped, base} {
+		if _, err := s.Compile(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := s.met.compileRTLs.Value(); n <= 0 {
 		t.Fatalf("mccd_compile_rtls_total = %d after two compiles, want > 0", n)
 	}
 	if n := s.met.throughput.Count(); n != 2 {
-		t.Fatalf("mccd_compile_rtls_per_second count = %d, want 2", n)
+		t.Fatalf("mccd_compile_rtls_per_second count = %d, want 2 (the repeat is a cache hit)", n)
+	}
+}
+
+// TestSpellingsShareCacheEntry pins that the result cache is keyed by
+// the resolved configuration, not by the request's spelling: letter case,
+// aliases and defaults that select the same compile share one entry on
+// /compile and /measure alike, while options that change the compile
+// still miss.
+func TestSpellingsShareCacheEntry(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close(context.Background())
+	ctx := context.Background()
+
+	type spelling struct {
+		machine, level, heuristic string
+		maxSeq                    int
+		tv                        bool
+	}
+	cached := func(kind string, sp spelling) bool {
+		t.Helper()
+		rep := ReplicationOptions{Heuristic: sp.heuristic, MaxSeqRTLs: sp.maxSeq}
+		if kind == "compile" {
+			res, err := s.Compile(ctx, CompileRequest{
+				Source: tinySrc, Machine: sp.machine, Level: sp.level, Replication: rep, TV: sp.tv,
+			})
+			if err != nil {
+				t.Fatalf("compile %+v: %v", sp, err)
+			}
+			return res.Cached
+		}
+		res, err := s.Measure(ctx, MeasureRequest{
+			Source: tinySrc, Machine: sp.machine, Level: sp.level, Replication: rep, TV: sp.tv,
+		})
+		if err != nil {
+			t.Fatalf("measure %+v: %v", sp, err)
+		}
+		return res.Cached
+	}
+	// Each group starts from a configuration no earlier group compiled, so
+	// its first request is a genuine miss.
+	groups := []struct {
+		first  spelling
+		same   []spelling
+		differ []spelling
+	}{
+		{
+			first:  spelling{machine: "sparc", level: "jumps"},
+			same:   []spelling{{machine: "sparc", level: "JUMPS"}, {machine: "sparc"}},
+			differ: []spelling{{machine: "sparc", level: "jumps", maxSeq: 8}, {machine: "sparc", level: "jumps", tv: true}},
+		},
+		{
+			first: spelling{machine: "x86", level: "dups"},
+			same:  []spelling{{machine: "x86", level: "dups", heuristic: "shortest"}},
+		},
+		{
+			first: spelling{machine: "68020", level: "simple"},
+			same:  []spelling{{machine: "68k", level: "simple"}, {level: "simple"}},
+		},
+	}
+	for _, kind := range []string{"compile", "measure"} {
+		for _, g := range groups {
+			if cached(kind, g.first) {
+				t.Fatalf("%s %+v: first request served from cache", kind, g.first)
+			}
+			for _, sp := range g.same {
+				if !cached(kind, sp) {
+					t.Errorf("%s %+v missed the cache entry of %+v", kind, sp, g.first)
+				}
+			}
+			for _, sp := range g.differ {
+				if cached(kind, sp) {
+					t.Errorf("%s %+v served from the cache entry of %+v", kind, sp, g.first)
+				}
+			}
+		}
 	}
 }
 
