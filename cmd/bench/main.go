@@ -11,8 +11,6 @@
 //	bench -summary FILE      append the gate's Markdown delta table to FILE
 //	                         (the perf-gate job points this at
 //	                         $GITHUB_STEP_SUMMARY)
-//	bench -history FILE      additionally append the result to a JSONL
-//	                         history file (one timestamped record per run)
 //
 // The baseline records compile throughput (ns/op, allocs/op, RTLs/sec) of
 // the Table-3 suite per pipeline level, plus the stress-function compile
@@ -27,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -39,7 +36,6 @@ func main() {
 	tol := flag.Float64("tol", 0, "gate tolerance band as a fraction (0.05 widens the floors by 5%)")
 	summary := flag.String("summary", "", "with -gate: append the Markdown delta table to this file")
 	states := flag.Int("states", bench.DefaultStressStates, "stress-function size in goto-machine states")
-	history := flag.String("history", "", "append the measured baseline to this JSONL history file")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 
@@ -81,13 +77,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
-	}
-	if *history != "" {
-		if err := bench.AppendHistory(*history, bl, time.Now()); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("appended to %s\n", *history)
 	}
 	for _, s := range bl.Suite {
 		fmt.Printf("suite %-8s %12d ns/op %10.0f RTLs/sec\n", s.Level, s.NsPerOp, s.RTLsPerSec)

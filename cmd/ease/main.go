@@ -7,12 +7,12 @@
 //	ease -file myprog.c -in input.txt
 //	ease -prog wc -trace t.jsonl -explain    # telemetry + narrative
 //	ease -prog wc -fetchtrace fetches.txt    # fetch stream for cmd/cachesim
-//	ease -grid -j 8                          # full Table-3 grid, 8 workers
+//
+// The whole Table-3 grid is measured by cmd/tables.
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +24,6 @@ import (
 	"repro/internal/ease"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/service"
 )
 
 func main() {
@@ -39,18 +38,12 @@ func main() {
 	explain := flag.Bool("explain", false, "print a human-readable pass/replication narrative to stderr")
 	profile := flag.Bool("profile", false, "print the hottest blocks to stderr")
 	quiet := flag.Bool("q", false, "suppress the per-cell progress line on stderr")
-	grid := flag.Bool("grid", false, "measure the full Table-3 grid and print the paper's tables")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel measurement workers for -grid; for a single measurement, per-function optimizer workers (output is identical for every value)")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "per-function optimizer workers (output is identical for every value)")
 	flag.Parse()
 	conf, err := resolveConfig()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ease:", err)
 		os.Exit(2)
-	}
-
-	if *grid {
-		runGrid(*caches, *jobs, *quiet, conf)
-		return
 	}
 
 	req := ease.Request{
@@ -188,38 +181,4 @@ func main() {
 	if collector != nil {
 		obs.Explain(os.Stderr, collector.Events())
 	}
-}
-
-// runGrid measures every (program × machine × level) cell through the
-// shared service worker pool and prints the paper's tables. The table
-// bytes are identical for every -j: cells land at preassigned grid
-// positions, and the per-cell progress lines on stderr are serialized by
-// bench.RunGrid (only their order varies with -j > 1).
-func runGrid(caches bool, jobs int, quiet bool, conf pipeline.Config) {
-	pool := service.NewPool(jobs, 0)
-	var progress *os.File
-	if !quiet {
-		progress = os.Stderr
-	}
-	start := time.Now()
-	res, err := bench.RunGrid(context.Background(), bench.GridConfig{
-		Caches:     caches,
-		Progress:   progress,
-		Pool:       pool,
-		VerifyEach: conf.VerifyEach,
-		TV:         conf.TV,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(1)
-	}
-	if err := pool.Shutdown(context.Background()); err != nil {
-		fmt.Fprintln(os.Stderr, "ease:", err)
-		os.Exit(1)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "ease: %d cells with %d workers in %s\n",
-			len(res.Cells), pool.Workers(), time.Since(start).Round(time.Millisecond))
-	}
-	res.WriteAll(os.Stdout, caches)
 }

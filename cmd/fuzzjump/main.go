@@ -59,8 +59,8 @@ func main() {
 	maxSteps := flag.Int64("maxsteps", 0, "VM step budget per execution (0 = oracle default)")
 	budget := flag.Int("budget", 0, "generator statement budget per function (0 = generator default); larger programs stress step 1 harder")
 	residual := flag.Bool("residual", false, "enable the opt-in residual-replicable-jump check")
-	verifyEach := flag.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass, attributing violations to the offending pass")
-	tvFlag := flag.Bool("tv", false, "validate every applied duplication with the translation validator; rejections surface as tv-rejection verdicts")
+	var checks pipeline.Config
+	pipeline.BindChecks(flag.CommandLine, &checks)
 	inject := flag.String("inject", "", "fault injection for self-testing: 'rollback' disables the reducibility rollback (the oracle must catch it), 'undo' force-rolls-back every duplication (the undo log must restore byte-identically, so the oracle must stay green)")
 	quiet := flag.Bool("q", false, "suppress per-interval progress output")
 	flag.Parse()
@@ -125,8 +125,8 @@ func main() {
 		MaxSteps:      *maxSteps,
 		Input:         []byte("fuzzjump"),
 		CheckResidual: *residual,
-		VerifyEach:    *verifyEach,
-		TV:            *tvFlag,
+		VerifyEach:    checks.VerifyEach,
+		TV:            checks.TV,
 	}
 
 	// The seed feed: a monotone counter, drained by the workers until the

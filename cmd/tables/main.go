@@ -8,6 +8,7 @@
 //	tables -table branchdist  §5.2 instructions-between-branches stats
 //	tables -table cap       §6 ablation: replication length cap sweep
 //	tables                  everything (including the cache simulations)
+//	tables -verify-each -tv everything, with every cell checked
 package main
 
 import (
@@ -24,6 +25,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/replicate"
 	"repro/internal/service"
+	"repro/internal/verify"
 )
 
 func main() {
@@ -35,6 +37,8 @@ func main() {
 	maxSeq := flag.Int("maxseq", 0, "cap replication sequences at this many RTLs (0 = unlimited)")
 	indirect := flag.Bool("indirect", false, "allow sequences terminated by indirect jumps (§6 extension)")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel measurement workers (1 = sequential)")
+	var checks pipeline.Config
+	pipeline.BindChecks(flag.CommandLine, &checks)
 	flag.Parse()
 
 	if *list {
@@ -50,7 +54,7 @@ func main() {
 	opts := replicate.Options{Heuristic: h, MaxSeqRTLs: *maxSeq, AllowIndirect: *indirect}
 
 	if *table == "cap" {
-		capSweep(opts, *quiet)
+		capSweep(opts, checks, *quiet)
 		return
 	}
 
@@ -78,6 +82,8 @@ func main() {
 		Caches:      needCaches,
 		CacheSizes:  sizes,
 		Replication: opts,
+		VerifyEach:  checks.VerifyEach,
+		TV:          checks.TV,
 		Progress:    progress,
 		Pool:        pool,
 	})
@@ -130,31 +136,25 @@ func main() {
 
 // capSweep implements the §6 ablation: sweep the replication length cap and
 // report code growth vs dynamic savings on the SPARC.
-func capSweep(base replicate.Options, quiet bool) {
+func capSweep(base replicate.Options, checks pipeline.Config, quiet bool) {
 	caps := []int{0, 4, 8, 16, 32, 64}
 	fmt.Printf("Replication length cap sweep (SPARC, JUMPS vs SIMPLE)\n")
 	fmt.Printf("%8s %14s %14s\n", "cap", "static-change", "dynamic-change")
 	for _, c := range caps {
 		var statS, statJ, dynS, dynJ int64
 		for _, p := range bench.Programs() {
-			rs, err := ease.Measure(ease.Request{
-				Name: p.Name, Source: p.Source, Input: []byte(p.Input),
-				Machine: machine.SPARC, Level: pipeline.Simple,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tables:", err)
-				os.Exit(1)
-			}
 			o := base
 			o.MaxSeqRTLs = c
-			rj, err := ease.Measure(ease.Request{
+			rs := measure(ease.Request{
+				Name: p.Name, Source: p.Source, Input: []byte(p.Input),
+				Machine: machine.SPARC, Level: pipeline.Simple,
+				VerifyEach: checks.VerifyEach, TV: checks.TV,
+			})
+			rj := measure(ease.Request{
 				Name: p.Name, Source: p.Source, Input: []byte(p.Input),
 				Machine: machine.SPARC, Level: pipeline.Jumps, Replication: o,
+				VerifyEach: checks.VerifyEach, TV: checks.TV,
 			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tables:", err)
-				os.Exit(1)
-			}
 			statS += int64(rs.Static.StaticInsts)
 			statJ += int64(rj.Static.StaticInsts)
 			dynS += rs.Dynamic.Exec
@@ -170,4 +170,18 @@ func capSweep(base replicate.Options, quiet bool) {
 		fmt.Printf("%8s %+13.2f%% %+13.2f%%\n", capName,
 			ease.PercentChange(statS, statJ), ease.PercentChange(dynS, dynJ))
 	}
+}
+
+// measure runs one cap-sweep cell; a measurement error or a check
+// violation exits 1, as a failed cell does on the grid path.
+func measure(req ease.Request) *ease.Run {
+	run, err := ease.Measure(req)
+	if err == nil {
+		err = verify.Error(run.Static.Verify)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tables:", err)
+		os.Exit(1)
+	}
+	return run
 }

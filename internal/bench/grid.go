@@ -87,10 +87,11 @@ type cellSpec struct {
 }
 
 // RunGrid measures every (program × machine × level) cell of the
-// configured grid. Results are identical to the sequential RunAllSizes
-// byte for byte: cells are preassigned slice positions in canonical
-// order, so concurrency changes only the wall-clock time and the order
-// of progress lines.
+// configured grid; it is the one execution path behind cmd/tables and
+// cmd/mccd's /grid. Results are identical for every Pool, sequential
+// (nil) included, byte for byte: cells are preassigned slice positions
+// in canonical order, so concurrency changes only the wall-clock time
+// and the order of progress lines.
 func RunGrid(ctx context.Context, cfg GridConfig) (*Results, error) {
 	progs := cfg.Programs
 	if progs == nil {

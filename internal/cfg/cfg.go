@@ -144,6 +144,20 @@ func (f *Func) NumRTLs() int {
 	return n
 }
 
+// NumJumps returns the static count of unconditional direct jumps — the
+// paper's replication objective (§5.2).
+func (f *Func) NumJumps() int {
+	n := 0
+	for _, b := range f.Blocks {
+		for ii := range b.Insts {
+			if b.Insts[ii].Kind == rtl.Jmp {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // InsertBlocksAfter splices the given blocks immediately after block at
 // position idx and renumbers.
 func (f *Func) InsertBlocksAfter(idx int, blocks ...*Block) {

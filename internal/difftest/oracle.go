@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/replicate"
-	"repro/internal/rtl"
 	"repro/internal/verify"
 	"repro/internal/vm"
 )
@@ -111,8 +110,6 @@ type Options struct {
 	// this reports the conservatism gap rather than a soundness bug —
 	// useful in offline campaigns, wrong as a CI failure.
 	CheckResidual bool
-	// SkipDynamic disables the dynamic-jump-count invariant.
-	SkipDynamic bool
 	// VerifyEach runs the semantic verifier after every pipeline pass in
 	// every cell (pipeline.Config.VerifyEach), so a violation is attributed
 	// to the pass that introduced it instead of only being caught by the
@@ -295,19 +292,17 @@ func Check(src string, o Options) *Verdict {
 	// conditional branches than the JUMPS build (≤, not <: a fold only
 	// fires where the analysis decides an edge, and many programs offer
 	// none).
-	if !o.SkipDynamic {
-		for _, m := range o.machines() {
-			cells := perMachine[m.Name]
-			s, j := cells[pipeline.Simple], cells[pipeline.Jumps]
-			if s.ok && j.ok && j.jumps > s.jumps {
-				v.addNamed(o, m.Name, "JUMPS", VDynamic,
-					fmt.Sprintf("JUMPS executed %d direct unconditional jumps, SIMPLE only %d", j.jumps, s.jumps))
-			}
-			d := cells[pipeline.Dups]
-			if j.ok && d.ok && d.branches > j.branches {
-				v.addNamed(o, m.Name, "DUPS", VDynamicCond,
-					fmt.Sprintf("DUPS executed %d conditional branches, JUMPS only %d", d.branches, j.branches))
-			}
+	for _, m := range o.machines() {
+		cells := perMachine[m.Name]
+		s, j := cells[pipeline.Simple], cells[pipeline.Jumps]
+		if s.ok && j.ok && j.jumps > s.jumps {
+			v.addNamed(o, m.Name, "JUMPS", VDynamic,
+				fmt.Sprintf("JUMPS executed %d direct unconditional jumps, SIMPLE only %d", j.jumps, s.jumps))
+		}
+		d := cells[pipeline.Dups]
+		if j.ok && d.ok && d.branches > j.branches {
+			v.addNamed(o, m.Name, "DUPS", VDynamicCond,
+				fmt.Sprintf("DUPS executed %d conditional branches, JUMPS only %d", d.branches, j.branches))
 		}
 	}
 	return v
@@ -356,12 +351,12 @@ func residualReplicableJump(prog *cfg.Program, opts replicate.Options) string {
 			continue
 		}
 		clone := f.Clone()
-		before := countJumps(clone)
+		before := clone.NumJumps()
 		if before == 0 {
 			continue
 		}
 		replicate.JUMPS(clone, opts)
-		if after := countJumps(clone); after < before {
+		if after := clone.NumJumps(); after < before {
 			return fmt.Sprintf("function %s: %d unconditional jumps, replication would leave %d",
 				f.Name, before, after)
 		}
@@ -370,27 +365,11 @@ func residualReplicableJump(prog *cfg.Program, opts replicate.Options) string {
 }
 
 // capped reports whether f is close enough to a replication growth cap
-// that leftover jumps are expected rather than a bug.
+// that leftover jumps are expected rather than a bug. opts comes from
+// Options.replication, which always sets MaxFuncRTLs.
 func capped(f *cfg.Func, opts replicate.Options) bool {
-	max := opts.MaxFuncRTLs
-	if max == 0 {
-		max = 20000
-	}
 	// Within 25% of the RTL budget the pipeline may stop replicating.
-	return f.NumRTLs()*4 >= max*3
-}
-
-// countJumps counts static unconditional direct jumps.
-func countJumps(f *cfg.Func) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for ii := range b.Insts {
-			if b.Insts[ii].Kind == rtl.Jmp {
-				n++
-			}
-		}
-	}
-	return n
+	return f.NumRTLs()*4 >= opts.MaxFuncRTLs*3
 }
 
 func clip(b []byte) string {

@@ -140,6 +140,8 @@ func TestResolve(t *testing.T) {
 		{"68k", "LOOPS", "returns", machine.M68020, pipeline.Loops, replicate.HeurReturns},
 		{"SPARC", "dups", "loops", machine.SPARC, pipeline.Dups, replicate.HeurLoops},
 		{"i386", "Simple", "shortest", machine.X86, pipeline.Simple, replicate.HeurShortest},
+		{"", "", "Shortest", machine.M68020, pipeline.Jumps, replicate.HeurShortest},
+		{"", "", " LOOPS ", machine.M68020, pipeline.Jumps, replicate.HeurLoops},
 	} {
 		got, err := pipeline.Resolve(pipeline.Config{}, c.machine, c.level, c.heuristic)
 		if err != nil || got.Machine != c.wantM || got.Level != c.wantL || got.Replication.Heuristic != c.wantH {

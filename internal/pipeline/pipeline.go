@@ -106,18 +106,26 @@ func Resolve(c Config, machineName, level, heuristic string) (Config, error) {
 	return c, nil
 }
 
-// BindFlags declares the compile-option flags the command-line drivers
-// share — -machine, -level, -verify-each and -tv — on fs. The returned
+// BindFlags declares the compile-option flags mcc and ease share —
+// -machine, -level and the BindChecks pair — on fs. The returned
 // function, called after fs.Parse, resolves them into a Config.
 func BindFlags(fs *flag.FlagSet) func() (Config, error) {
 	machineName := fs.String("machine", "68020",
 		"target machine: "+strings.Join(machine.Names(), ", "))
 	level := fs.String("level", "jumps", "optimization level: simple, loops, jumps or dups")
-	verifyEach := fs.Bool("verify-each", false, "run the semantic IR verifier after every pipeline pass; violations (attributed to the offending pass) abort with exit 1")
-	tv := fs.Bool("tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
+	var c Config
+	BindChecks(fs, &c)
 	return func() (Config, error) {
-		return Resolve(Config{VerifyEach: *verifyEach, TV: *tv}, *machineName, *level, "")
+		return Resolve(c, *machineName, *level, "")
 	}
+}
+
+// BindChecks declares the -verify-each and -tv flags every driver that
+// compiles shares (mcc, ease, tables, fuzzjump) on fs, storing them in
+// c.VerifyEach and c.TV.
+func BindChecks(fs *flag.FlagSet, c *Config) {
+	fs.BoolVar(&c.VerifyEach, "verify-each", false, "run the semantic IR verifier after every pipeline pass; violations (attributed to the offending pass) abort with exit 1")
+	fs.BoolVar(&c.TV, "tv", false, "validate every applied duplication with the translation validator; rejected certificates abort with exit 1")
 }
 
 // Config selects the machine, level and replication options.
@@ -127,8 +135,6 @@ type Config struct {
 	// Replication tunes the replication passes (LOOPS, JUMPS and DUPS;
 	// ignored at SIMPLE).
 	Replication replicate.Options
-	// MaxIterations caps the do-while loop of Figure 3 (0 = default 30).
-	MaxIterations int
 	// Tracer, when non-nil, receives telemetry: one obs.EvPass span per
 	// optimization pass (wall time, iteration, RTL/block deltas), one
 	// obs.EvPhase span per function, and — unless Replication.Tracer
@@ -180,12 +186,9 @@ type Config struct {
 	corruptCert func(f *cfg.Func, cert *tv.Certificate)
 }
 
-func (c Config) maxIterations() int {
-	if c.MaxIterations == 0 {
-		return 30
-	}
-	return c.MaxIterations
-}
+// maxIterations caps the do-while loop of Figure 3, which otherwise stops
+// at the first iteration that reports no change.
+const maxIterations = 30
 
 func (c Config) jobs() int {
 	if c.Jobs <= 0 {
@@ -516,11 +519,14 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 	// Figure 3, main do-while loop. Replication only counts as progress
 	// while it still lowers the function's unconditional-jump count —
 	// interactions are otherwise "treated conservatively to avoid the
-	// potential of replication ad infinitum" (§5.2).
+	// potential of replication ad infinitum" (§5.2). DUPS uses the same
+	// count, so its jump replication walks the JUMPS trajectory; a fold's
+	// progress is dynamic, invisible to any static count, so it is credited
+	// from the BranchesFolded delta instead.
 	iters := 0
 	replicating := true
 	pr.stage = "loop"
-	for iters < c.maxIterations() {
+	for iters < maxIterations {
 		iters++
 		pr.iter = iters
 		changed := false
@@ -534,11 +540,11 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 		changed = pr.run("fold-branches", func() bool { return opt.FoldBranches(f) }) || changed
 		changed = pr.run("delete-jumps-to-next", func() bool { return cfg.DeleteJumpsToNext(f) }) || changed
 		if replicating {
-			before := progressMetric(f, c.Level)
+			before := f.NumJumps()
 			foldsBefore := st.Replication.BranchesFolded
 			repChanged := pr.run("replicate", replicateHere)
 			pr.run("dead-code", func() bool { return opt.DeadCodeElimination(f) })
-			after := progressMetric(f, c.Level)
+			after := f.NumJumps()
 			if after < before || st.Replication.BranchesFolded > foldsBefore {
 				changed = true
 			} else if repChanged {
@@ -603,29 +609,6 @@ func optimizeFunc(f *cfg.Func, c Config) Stats {
 		})
 	}
 	return st
-}
-
-// staticJumpCount counts unconditional direct jumps in the function.
-func staticJumpCount(f *cfg.Func) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for ii := range b.Insts {
-			if b.Insts[ii].Kind == rtl.Jmp {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// progressMetric is the static count replication must keep lowering for
-// the Figure-3 loop to keep invoking it: the unconditional-jump count
-// (§5.2). DUPS uses the same metric so its jump-replication phase walks
-// the identical trajectory the JUMPS level would — a fold's progress is
-// dynamic, invisible to any static count, so the loop in optimizeFunc
-// credits it from the BranchesFolded delta instead.
-func progressMetric(f *cfg.Func, l Level) int {
-	return staticJumpCount(f)
 }
 
 // count fills the static instruction statistics.

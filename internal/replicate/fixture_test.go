@@ -80,7 +80,7 @@ func TestTable1Fixture(t *testing.T) {
 		t.Fatalf("expected replication:\n%s", f)
 	}
 	cfg.RemoveUnreachable(f)
-	if countJumps(f) != 0 {
+	if f.NumJumps() != 0 {
 		t.Fatalf("unconditional jump survived:\n%s", f)
 	}
 	if err := cfg.Validate(f, false); err != nil {
@@ -114,7 +114,7 @@ func TestTable2Fixture(t *testing.T) {
 		t.Fatalf("expected replication:\n%s", f)
 	}
 	cfg.RemoveUnreachable(f)
-	if countJumps(f) != 0 {
+	if f.NumJumps() != 0 {
 		t.Fatalf("jump survived:\n%s", f)
 	}
 	rets := 0
@@ -141,7 +141,7 @@ func TestForShapeFixture(t *testing.T) {
 		t.Fatalf("expected replication:\n%s", f)
 	}
 	cfg.RemoveUnreachable(f)
-	if countJumps(f) != 0 {
+	if f.NumJumps() != 0 {
 		t.Fatalf("jump survived:\n%s", f)
 	}
 	// Rotation adds only the guard (cmp+branch), not a copy of the loop.

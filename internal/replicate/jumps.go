@@ -2,6 +2,7 @@ package replicate
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cfg"
@@ -48,7 +49,7 @@ func (h Heuristic) String() string {
 // ParseHeuristic converts a wire/CLI name to a Heuristic ("" = shortest).
 // HeurFrequency has no spelling: it is reachable only in process.
 func ParseHeuristic(s string) (Heuristic, error) {
-	switch s {
+	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "shortest":
 		return HeurShortest, nil
 	case "returns":
@@ -77,8 +78,6 @@ type Options struct {
 	// MaxFuncRTLs stops replication once a function reaches this many RTLs
 	// (0 = default 20000); a safety valve against pathological growth.
 	MaxFuncRTLs int
-	// MaxReplications bounds replications per invocation (0 = default 500).
-	MaxReplications int
 	// Engine selects the step-1 shortest-path implementation: the default
 	// on-demand oracle (EngineOracle) or the paper's eager all-pairs matrix
 	// (EngineMatrix), kept as a differential reference. Both produce
@@ -148,31 +147,14 @@ func (o Options) maxFuncRTLs() int {
 	return o.MaxFuncRTLs
 }
 
-func (o Options) maxReplications() int {
-	if o.MaxReplications == 0 {
-		return 500
-	}
-	return o.MaxReplications
-}
+// maxReplications bounds the replications of one invocation.
+const maxReplications = 500
 
 // jumpKey identifies one unconditional jump for the per-invocation
 // blacklist of failed replications.
 type jumpKey struct {
 	block  rtl.Label
 	target rtl.Label
-}
-
-// countJumps returns the static number of unconditional (direct) jumps.
-func countJumps(f *cfg.Func) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for ii := range b.Insts {
-			if b.Insts[ii].Kind == rtl.Jmp {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // JUMPS applies the generalized code-replication algorithm to f until no

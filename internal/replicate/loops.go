@@ -133,7 +133,9 @@ func rotateOne(f *cfg.Func, opts Options, res *Result) bool {
 			res.Rollbacks++
 			cand[0].RolledBack = true
 			emitDecision(opts, f, jumpBlock, jumpTarget, cand, obs.OutRolledBack)
-			return rotateNextAfterRollback(f)
+			// This jump is unprofitable; the next driver iteration skips it
+			// because the shape check fails identically.
+			return false
 		}
 		res.Replications++
 		res.RTLsCopied += len(rep)
@@ -149,9 +151,3 @@ func rotateOne(f *cfg.Func, opts Options, res *Result) bool {
 	}
 	return false
 }
-
-// rotateNextAfterRollback exists to keep rotateOne's control flow simple: a
-// rollback means this particular jump is unprofitable; scanning resumes on
-// the next driver iteration, which will skip it because the shape check
-// fails identically, so simply report no change.
-func rotateNextAfterRollback(*cfg.Func) bool { return false }

@@ -146,7 +146,7 @@ func TestQuickJumpsReduced(t *testing.T) {
 		f := randomDAGFunc(r)
 		JUMPS(f, Options{})
 		cfg.RemoveUnreachable(f)
-		if n := countJumps(f); n != 0 {
+		if n := f.NumJumps(); n != 0 {
 			t.Fatalf("trial %d: %d jumps left:\n%s", trial, n, f)
 		}
 	}

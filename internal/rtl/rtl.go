@@ -132,9 +132,6 @@ func (o Operand) IsMem() bool {
 	return o.Kind == OLocal || o.Kind == OGlobal || o.Kind == OMem
 }
 
-// IsReg reports whether the operand is exactly a register.
-func (o Operand) IsReg() bool { return o.Kind == OReg }
-
 // IsImmLike reports whether the operand is a compile-time constant value
 // (integer immediate or the address of a local/global).
 func (o Operand) IsImmLike() bool {

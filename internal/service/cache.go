@@ -56,7 +56,6 @@ func (b *keyBuilder) bool(v bool) {
 func (b *keyBuilder) config(c pipeline.Config) {
 	b.str(c.Machine.Name)
 	b.int(int64(c.Level))
-	b.int(int64(c.MaxIterations))
 	b.bool(c.VerifyEach)
 	b.bool(c.TV)
 	r := c.Replication
@@ -65,7 +64,6 @@ func (b *keyBuilder) config(c pipeline.Config) {
 	b.bool(r.AllowIndirect)
 	b.bool(r.NoLoopCompletion)
 	b.int(int64(r.MaxFuncRTLs))
-	b.int(int64(r.MaxReplications))
 	b.int(int64(r.Engine))
 	b.bool(r.ForceKeepIrreducible)
 	b.bool(r.ForceRollback)

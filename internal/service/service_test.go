@@ -152,7 +152,7 @@ func TestSpellingsShareCacheEntry(t *testing.T) {
 		},
 		{
 			first: spelling{machine: "x86", level: "dups"},
-			same:  []spelling{{machine: "x86", level: "dups", heuristic: "shortest"}},
+			same:  []spelling{{machine: "x86", level: "dups", heuristic: "shortest"}, {machine: "x86", level: "dups", heuristic: "Shortest"}},
 		},
 		{
 			first: spelling{machine: "68020", level: "simple"},
